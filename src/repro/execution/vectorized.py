@@ -1227,10 +1227,13 @@ class ColumnarEvaluator:
         self,
         example_inputs: Sequence[Sequence[Value]],
         trie_node_budget: int = 200_000,
+        stats: Optional[KernelStats] = None,
     ) -> None:
         self.n_examples = len(example_inputs)
         self.trie_node_budget = trie_node_budget
-        self._stats = KernelStats()
+        #: a caller-owned ``stats`` accumulates across evaluators (the
+        #: batch engine passes one, so evicting an evaluator loses nothing)
+        self._stats = stats if stats is not None else KernelStats()
         #: ``(block index, id(registry))`` -> (pinned registry, trie).  The
         #: pinned reference keeps the id stable while the entry lives; a
         #: ``None`` trie marks a combination that proved unsupported
@@ -1260,7 +1263,9 @@ class ColumnarEvaluator:
         return self._evaluate(programs, want_traces=True)
 
     def stats(self) -> dict:
-        """Kernel + trie telemetry accumulated over this evaluator's life."""
+        """Kernel + trie telemetry accumulated into this evaluator's
+        :class:`KernelStats` (shared with its siblings when the caller
+        passed one in)."""
         return self._stats.snapshot()
 
     def invalidate(self) -> None:
@@ -1392,29 +1397,27 @@ class BatchExecutionEngine(ExecutionEngine):
     def __init__(self, cache: Optional[EvaluationCache] = None, compiled: bool = True) -> None:
         super().__init__(cache=cache, compiled=compiled)
         self._evaluators: "OrderedDict[Tuple, ColumnarEvaluator]" = OrderedDict()
+        #: one accumulator for every evaluator this engine ever built, so
+        #: the totals survive LRU eviction of an evaluator
+        self._kernel_stats = KernelStats()
         #: batches answered entirely from cache, short-circuited before
         #: any dedup bookkeeping or trie packing
         self.batch_full_hits = 0
 
     # ------------------------------------------------------------------
     def kernel_stats(self) -> dict:
-        """Aggregated :meth:`ColumnarEvaluator.stats` over every resident
-        evaluator, plus the engine-level ``batch_full_hits`` counter."""
-        totals: Dict[str, float] = {}
-        for evaluator in self._evaluators.values():
-            for field, value in evaluator.stats().items():
-                if field == "reuse_ratio":
-                    continue
-                totals[field] = totals.get(field, 0) + value
-        lookups = totals.get("trie_leaf_lookups", 0)
-        totals["reuse_ratio"] = totals.get("trie_leaf_hits", 0) / lookups if lookups else 0.0
+        """Kernel + trie telemetry over every evaluator this engine built
+        (resident or evicted), plus the engine-level ``batch_full_hits``."""
+        totals = self._kernel_stats.snapshot()
         totals["batch_full_hits"] = self.batch_full_hits
         return totals
 
     def _evaluator_for(self, io_set: IOSet, io_key: Tuple) -> ColumnarEvaluator:
         evaluator = self._evaluators.get(io_key)
         if evaluator is None:
-            evaluator = ColumnarEvaluator([example.inputs for example in io_set])
+            evaluator = ColumnarEvaluator(
+                [example.inputs for example in io_set], stats=self._kernel_stats
+            )
             if len(self._evaluators) >= 32:
                 self._evaluators.popitem(last=False)
             self._evaluators[io_key] = evaluator

@@ -227,6 +227,32 @@ class TestEventSchema:
         assert reloaded.events[0].method == "edit"
         assert reloaded.events[1].found is True
 
+    def test_v1_records_load_without_removed_fields(self, tmp_path):
+        # a pre-v2 generation event, as an older server streamed or saved it
+        record = {
+            "v": 1,
+            "kind": "generation",
+            "job_id": "job-0",
+            "generation": 3,
+            "candidates_used": 120,
+            "remote_hits": 2,
+            "fused_dispatches": 7,
+        }
+        event = ProgressEvent.from_dict(record)
+        assert (event.kind, event.generation, event.candidates_used) == ("generation", 3, 120)
+        assert event.remote_hits == 2
+        current = event.to_dict()
+        assert current["v"] == EVENT_SCHEMA_VERSION == 2
+        # exactly the field v2 removed is dropped; every other key survives
+        dropped = set(record) - set(current)
+        assert len(dropped) == 1 and not any(hasattr(event, key) for key in dropped)
+        path = tmp_path / "v1_events.json"
+        path.write_text(json.dumps([record]))
+        reloaded = EventLog.load(path)
+        assert not reloaded.truncated
+        assert reloaded.kinds() == ["generation"]
+        assert reloaded.events[0].to_dict() == current
+
 
 # ---------------------------------------------------------------------------
 # cancel idempotence on terminal jobs

@@ -226,6 +226,30 @@ class TestBatchExecutionEngine:
         program = Program([29, 5, 1])
         assert engine.outputs_batch([program], io_set) == [engine.outputs(program, io_set)]
 
+    def test_kernel_stats_survive_evaluator_eviction(self):
+        # 40 distinct IO sets: more than the engine keeps resident
+        # evaluators, so the early ones are evicted along the way
+        rng = np.random.default_rng(37)
+        engine = BatchExecutionEngine()
+        fields = ("dispatch_count", "trie_nodes_inserted")
+        expected = dict.fromkeys(fields, 0)
+        previous = dict(expected)
+        for seed in range(40):
+            io_set = self._io_set(seed=100 + seed)
+            unique = {tuple(p.function_ids) for p in _population(rng, 30) if len(p)}
+            population = [Program(list(fids)) for fids in sorted(unique)]
+            engine.outputs_batch(population, io_set)
+            # a fresh evaluator over the same call measures its increase
+            alone = ColumnarEvaluator([example.inputs for example in io_set])
+            alone.outputs(population)
+            current = engine.kernel_stats()
+            for field in fields:
+                expected[field] += alone.stats()[field]
+                assert current[field] >= previous[field]
+                assert current[field] == expected[field]
+            previous = current
+        assert expected["dispatch_count"] > 0
+
 
 class TestNonCatalogRegistries:
     def _registry(self):
