@@ -1419,7 +1419,9 @@ class BatchExecutionEngine(ExecutionEngine):
                 [example.inputs for example in io_set], stats=self._kernel_stats
             )
             if len(self._evaluators) >= 32:
-                self._evaluators.popitem(last=False)
+                _, evicted = self._evaluators.popitem(last=False)
+                # its tries go with it: count them as trie evictions
+                evicted.invalidate()
             self._evaluators[io_key] = evaluator
         else:
             self._evaluators.move_to_end(io_key)

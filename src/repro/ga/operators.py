@@ -9,7 +9,7 @@ dead code is produced").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -17,6 +17,7 @@ from repro.dsl.dce import has_dead_code
 from repro.dsl.functions import FunctionRegistry, REGISTRY
 from repro.dsl.program import Program
 from repro.dsl.types import DSLType, LIST
+from repro.ga.selection import probability_cdf
 from repro.utils.rng import ensure_rng
 
 
@@ -52,6 +53,13 @@ class GeneOperators:
             raise ValueError("program_length must be positive")
         self.rng = ensure_rng(self.rng)
         self._all_ids = np.array(self.registry.ids)
+        # a probability map is indexed by position in registry.ids, which
+        # is not fid - 1 on a subset registry
+        self._positions = {fid: k for k, fid in enumerate(self.registry.ids)}
+        # MutationFP replacement CDFs, one per current function, for the
+        # probability map they were built from (compared by identity)
+        self._cdf_map: Optional[np.ndarray] = None
+        self._replacement_cdfs: Dict[int, Optional[np.ndarray]] = {}
 
     # ------------------------------------------------------------------
     def _accept(self, program: Program) -> bool:
@@ -146,14 +154,28 @@ class GeneOperators:
             while choice == current:
                 choice = int(self.rng.choice(ids))
             return choice
+        cdf = self._replacement_cdf(current, probability_map)
+        if cdf is None:
+            return self._choose_replacement(current, None)
+        # the draw rng.choice(len(ids), p=...) makes, on a prebuilt CDF
+        return int(ids[int(cdf.searchsorted(self.rng.random(), side="right"))])
+
+    def _replacement_cdf(self, current: int, probability_map: np.ndarray) -> Optional[np.ndarray]:
+        """The CDF of the map's weights with ``current`` excluded (None when
+        nothing else has weight), built once per (map, current): the map is
+        taken to stay unchanged while it is passed in."""
+        if probability_map is not self._cdf_map:
+            self._cdf_map = probability_map
+            self._replacement_cdfs = {}
+        if current in self._replacement_cdfs:
+            return self._replacement_cdfs[current]
         weights = np.asarray(probability_map, dtype=np.float64).copy()
-        if weights.shape != (len(ids),):
+        if weights.shape != (len(self._all_ids),):
             raise ValueError("probability_map must have one entry per DSL function")
         weights = np.clip(weights, 0.0, None) + 1e-6
-        weights[self.registry.index_of(current)] = 0.0
+        weights[self._positions[current]] = 0.0
         total = weights.sum()
-        if total <= 0:
-            return self._choose_replacement(current, None)
-        weights = weights / total
-        index = int(self.rng.choice(len(ids), p=weights))
-        return int(ids[index])
+        # NaN weights fail the CDF's checks rather than fall back to uniform
+        cdf = None if total <= 0 else probability_cdf(weights / total)
+        self._replacement_cdfs[current] = cdf
+        return cdf

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import GAConfig, NeighborhoodConfig
+from repro.core import ArtifactStore, SynthesisSession
 from repro.dsl import Interpreter, Program, REGISTRY, has_dead_code, make_io_set
+from repro.dsl.functions import FunctionRegistry
 from repro.fitness import EditDistanceFitness, OracleFitness
 from repro.ga import (
     BudgetExhausted,
@@ -17,6 +19,7 @@ from repro.ga import (
     roulette_wheel_indices,
     roulette_wheel_probabilities,
 )
+from repro.ga.selection import probability_cdf, roulette_wheel_cdf
 
 
 class TestSearchBudget:
@@ -93,6 +96,42 @@ class TestRouletteWheel:
         probabilities = roulette_wheel_probabilities(np.array(scores))
         assert np.isclose(probabilities.sum(), 1.0)
         assert np.all(probabilities > 0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.floats(min_value=-100, max_value=100, allow_nan=False), min_size=1, max_size=40),
+        st.one_of(st.sampled_from([1, 2]), st.integers(min_value=0, max_value=300)),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_cdf_draws_equal_choice_draws(self, scores, count, seed):
+        scores = np.array(scores)
+        probabilities = roulette_wheel_probabilities(scores)
+        expected_rng = np.random.default_rng(seed)
+        expected = expected_rng.choice(len(scores), size=count, p=probabilities)
+        expected_next = expected_rng.random()
+        cdf = roulette_wheel_cdf(scores)
+        for prebuilt in (cdf, None):
+            rng = np.random.default_rng(seed)
+            drawn = roulette_wheel_indices(scores, count, rng, cdf=prebuilt)
+            np.testing.assert_array_equal(drawn, expected)
+            # the same RNG values were consumed: the streams stay aligned
+            assert rng.random() == expected_next
+
+    def test_nan_scores_raise(self, rng):
+        scores = np.array([1.0, np.nan, 2.0])
+        with pytest.raises(ValueError):
+            roulette_wheel_cdf(scores)
+        with pytest.raises(ValueError):
+            roulette_wheel_indices(scores, 2, rng)
+
+    def test_probability_cdf_makes_choices_checks(self):
+        with pytest.raises(ValueError):
+            probability_cdf(np.array([0.5, np.nan]))
+        with pytest.raises(ValueError):
+            probability_cdf(np.array([1.5, -0.5]))
+        with pytest.raises(ValueError):
+            probability_cdf(np.array([0.5, 0.6]))
+        np.testing.assert_array_equal(probability_cdf(np.array([0.25, 0.0, 0.75])), [0.25, 0.25, 1.0])
 
 
 class TestPopulation:
@@ -187,6 +226,57 @@ class TestGeneOperators:
             operators.mutate(gene, position_scores=np.ones(5))
         with pytest.raises(ValueError):
             operators.mutate(Program([]))
+
+    @staticmethod
+    def _per_call_replacement(rng, ids, current, probability_map):
+        """MutationFP's replacement draw as one rng.choice(p=...) per call."""
+        weights = np.clip(np.asarray(probability_map, dtype=np.float64), 0.0, None) + 1e-6
+        weights[list(ids).index(current)] = 0.0
+        return int(ids[int(rng.choice(len(ids), p=weights / weights.sum()))])
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(st.floats(min_value=-0.5, max_value=5.0, allow_nan=False), min_size=41, max_size=41),
+        st.lists(st.sampled_from(REGISTRY.ids[:6]), min_size=1, max_size=30),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_cached_replacement_draws_equal_per_call_draws(self, probability_map, currents, seed):
+        probability_map = np.array(probability_map)
+        operators = GeneOperators(program_length=3, rng=np.random.default_rng(seed))
+        reference = np.random.default_rng(seed)
+        # repeated currents are answered from the cached CDF
+        for current in currents:
+            expected = self._per_call_replacement(reference, REGISTRY.ids, current, probability_map)
+            assert operators._choose_replacement(current, probability_map) == expected
+        assert operators.rng.random() == reference.random()
+
+    @pytest.mark.parametrize("fids", [(35, 36, 37, 38), (2, 3, 4, 5)])
+    def test_probability_map_on_subset_registry(self, fids):
+        registry = FunctionRegistry([REGISTRY.by_id(fid) for fid in fids])
+        operators = GeneOperators(
+            program_length=2, registry=registry, rng=np.random.default_rng(3),
+            forbid_dead_code=False,
+        )
+        # the map is indexed by position in registry.ids; the current
+        # function holds nearly all the mass, so it must be the one excluded
+        prob_map = np.array([1.0, 1e-3, 1e-3, 1e-3])
+        current = fids[0]
+        gene = Program([current, current], registry)
+        for _ in range(20):
+            mutated = operators.mutate(gene, probability_map=prob_map)
+            assert sum(fid != current for fid in mutated.function_ids) == 1
+        reference = np.random.default_rng(11)
+        operators.rng = np.random.default_rng(11)
+        for _ in range(10):
+            expected = self._per_call_replacement(reference, fids, current, prob_map)
+            assert operators._choose_replacement(current, prob_map) == expected
+
+    def test_nan_probability_map_raises(self, rng):
+        operators = GeneOperators(program_length=3, rng=rng)
+        prob_map = np.full(41, 0.5)
+        prob_map[[7, 30]] = np.nan  # one survives excluding the current function
+        with pytest.raises(ValueError):
+            operators.mutate(operators.random_gene(), probability_map=prob_map)
 
     def test_invalid_length(self, rng):
         with pytest.raises(ValueError):
@@ -303,6 +393,16 @@ class TestGeneticAlgorithmEngine:
         )
         assert result.generations <= 3
 
+    def test_nan_scores_raise(self):
+        class NaNFitness(EditDistanceFitness):
+            def score(self, programs, io_set):
+                return np.full(len(programs), np.nan)
+
+        target, io_set = self._task()
+        engine = self._engine(target, fitness=NaNFitness(), neighborhood=False)
+        with pytest.raises(ValueError):
+            engine.run(io_set, SearchBudget(limit=500))
+
     def test_deterministic_given_seed(self):
         target, io_set = self._task()
         first = self._engine(target, seed=5).run(io_set, SearchBudget(limit=2000))
@@ -310,3 +410,72 @@ class TestGeneticAlgorithmEngine:
         assert first.found == second.found
         assert first.candidates_used == second.candidates_used
         assert first.generations == second.generations
+
+
+class TestSeededGAGolden:
+    """Pinned results of two seeded session jobs.
+
+    Recorded before the selection and FP-guided mutation draws moved to
+    prebuilt CDFs.  Any change to the sampling (a different index, an
+    extra RNG draw) shifts the whole run, so every value must stay as
+    recorded: exactly, or to 1e-9 for the NN-scored fitness histories.
+    """
+
+    FP_AVG = [
+        1.4283333783230376, 1.4935434951479394, 1.5116505099687376, 1.4556577755553688,
+        1.5401069009991886, 1.6197646866449968, 1.6467858617863498, 1.6288214600639477,
+        1.6513549535646619, 1.6646574923867046, 1.6707027704179231, 1.6642325635658668,
+        1.671651987826549, 1.6411634119252807, 1.573295875084303, 1.6468339158643108,
+        1.6291196502423761, 1.6927940464766713, 1.7017933394779594, 1.6680765182127228,
+        1.6416887052667537, 1.701164163344881, 1.68892755963188, 1.6953228428790381,
+        1.7036553211076164, 1.6885607761989843, 1.7039617706835017, 1.6964385017561827,
+        1.7022316627990606, 1.700930448550952, 1.6767014274413268, 1.6470131586151044,
+        1.691821028091346, 1.6545394653900765, 1.6652937410745818, 1.6748515541560949,
+        1.695595898744798, 1.7090550704961138, 1.7398801209226165, 1.7041080733480456,
+        1.7385822247518377, 1.7375527539446338,
+    ]
+    # (value, generations it held for) runs of the best-fitness history
+    FP_BEST_RUNS = [
+        (1.7118643456555955, 8), (1.7291581947178245, 1), (1.737644954655504, 7),
+        (1.7433349133898397, 1), (1.7630332408858194, 13), (1.7677081869787927, 6),
+        (1.7913606951924188, 6),
+    ]
+    EDIT_AVG = [
+        0.7816666666666665, 1.175, 1.3958333333333333, 1.4, 1.3958333333333333, 1.4625,
+        1.4, 1.425, 1.5, 1.45, 1.4, 1.425, 1.375, 1.425, 1.35, 1.2974999999999999, 1.325,
+        1.425, 1.3933333333333333, 1.3958333333333333, 1.425, 1.4125, 1.425, 1.4, 1.45,
+        1.425, 1.4, 1.4, 1.475, 1.45, 1.45, 1.35, 1.4, 1.425,
+    ]
+
+    @staticmethod
+    def _solve(config, store, method, task, seed):
+        session = SynthesisSession(config, store, methods=(method,))
+        job = session.submit(task, budget=1500, seed=seed)
+        session.run()
+        return job.result
+
+    @staticmethod
+    def _expand(runs):
+        return [value for value, count in runs for _ in range(count)]
+
+    def test_netsyn_fp_job(self, tiny_netsyn_config, tiny_fp_artifacts, tiny_suite):
+        config = tiny_netsyn_config.replace(fitness_kind="fp")
+        assert config.fp_guided_mutation
+        result = self._solve(
+            config, ArtifactStore(fp=tiny_fp_artifacts), "netsyn_fp", tiny_suite[0], seed=4
+        )
+        assert (result.found, result.generations, result.candidates_used) == (True, 42, 552)
+        assert result.program.names == ["DELETE", "REVERSE", "COUNT(<0)"]
+        # NN-scored: tolerate last-bit differences between BLAS builds
+        assert result.average_fitness_history == pytest.approx(self.FP_AVG, rel=1e-9)
+        assert result.best_fitness_history == pytest.approx(
+            self._expand(self.FP_BEST_RUNS), rel=1e-9
+        )
+
+    def test_edit_job(self, tiny_netsyn_config, tiny_suite):
+        config = tiny_netsyn_config.replace(fitness_kind="edit", fp_guided_mutation=False)
+        result = self._solve(config, ArtifactStore(), "edit", tiny_suite[0], seed=2)
+        assert (result.found, result.generations, result.candidates_used) == (True, 34, 676)
+        assert result.program.names == ["SCANL1(max)", "MAP(/3)", "COUNT(even)"]
+        assert result.average_fitness_history == self.EDIT_AVG
+        assert result.best_fitness_history == [1.5] * 34

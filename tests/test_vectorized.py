@@ -249,6 +249,8 @@ class TestBatchExecutionEngine:
                 assert current[field] == expected[field]
             previous = current
         assert expected["dispatch_count"] > 0
+        # the 8 evaluators evicted took their persistent tries with them
+        assert engine.kernel_stats()["trie_evictions"] > 0
 
 
 class TestNonCatalogRegistries:
